@@ -1,37 +1,29 @@
-// Counters and latency histograms for the networked serving front-end.
+// Counters, pool gauges and the latency histogram of the networked serving
+// front-end.
 //
-// Since the obs subsystem landed, this is a typed *view* over the
-// process-wide obs::MetricsRegistry rather than a private silo: every
-// counter below is registered under its exposition name (net_*), so the
-// same instruments appear in the registry's Prometheus exposition alongside
-// the serving/GEMM/training metrics. Construction binds (and resets) the
-// named instruments — counters read "since this server instance started",
-// matching the old semantics; run one NetServer per process if you scrape
-// exact counts.
+// A typed *view* over the process-wide obs::MetricsRegistry: every
+// instrument below is registered under its exposition name (net_*, pool_*),
+// so it appears in the registry's Prometheus exposition — the one the PPN1
+// metrics frame serves — alongside the serving/GEMM/training metrics.
+// Construction binds (and resets) the named instruments — counters read
+// "since this server instance started"; run one NetServer per process if
+// you scrape exact counts.
 //
 // Everything is cheap enough to sit on the request path: counters are
 // relaxed atomics, and the histogram records into log-spaced atomic buckets
-// (record() is one increment, quantiles are computed at read time). The
-// flat `name value` listing in render_text() is the stable scrape surface;
-// NetServer::metrics_text() appends the full Prometheus exposition of the
-// registry after it.
+// (record() is one increment, quantiles are computed at read time).
 #pragma once
 
 #include <cstdint>
-#include <string>
 
+#include "net/replica_pool.h"
 #include "obs/metrics_registry.h"
 
 namespace paintplace::net {
 
-/// Log-spaced latency histogram, 1µs..~34s (x2 per bucket). The math moved
-/// to obs::Histogram verbatim; the alias keeps the net-layer name.
-using LatencyHistogram = obs::Histogram;
-
-/// Monotonic counters for the front-end, bound to (and resetting) the named
-/// net_* instruments of a MetricsRegistry. The replica pool and server bump
-/// these; individual counters are exact, cross-counter skew is bounded by
-/// in-flight requests.
+/// The front-end's instruments. The replica pool and server bump the
+/// counters; individual counters are exact, cross-counter skew is bounded
+/// by in-flight requests.
 class Metrics {
  public:
   explicit Metrics(obs::MetricsRegistry& registry = obs::MetricsRegistry::global());
@@ -51,33 +43,25 @@ class Metrics {
   obs::Counter& metrics_requests;
   obs::Counter& hot_swaps;
 
-  LatencyHistogram& latency;  ///< admission -> response-written, seconds
+  obs::Histogram& latency;  ///< admission -> response-written, seconds
+
+  // Pool state as of the last set_pool() (the server calls it per scrape).
+  obs::Gauge& pool_replicas;
+  obs::Gauge& pool_queue_depth;        ///< admitted-but-unanswered, all replicas
+  obs::Gauge& pool_max_replica_depth;  ///< deepest single replica
+  obs::Gauge& pool_cache_hits;
+  obs::Gauge& pool_cache_requests;     ///< total submits seen by the replicas
+  obs::Gauge& pool_model_version;
 
   std::uint64_t shed_total() const {
     return shed_queue_full.load() + shed_client_cap.load();
   }
 
+  void set_pool(int replicas, const PoolStats& stats);
+
   /// Zeroes every instrument (runs at construction: a new server instance
   /// starts its counts fresh even though the registry persists).
   void reset();
 };
-
-/// Point-in-time pool state merged into the exposition by the server.
-struct PoolGauges {
-  int replicas = 0;
-  std::uint64_t queue_depth = 0;     ///< admitted-but-unanswered, all replicas
-  std::uint64_t max_queue_depth = 0; ///< deepest single replica right now
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_requests = 0;  ///< total submits seen by the replicas
-  std::uint64_t batches = 0;
-  std::uint64_t model_samples = 0;
-  std::uint64_t model_version = 0;
-};
-
-/// `name value` lines, one metric per line (latencies in milliseconds).
-std::string render_text(const Metrics& metrics, const PoolGauges& pool);
-
-/// Single-line summary for the periodic server log.
-std::string render_log_line(const Metrics& metrics, const PoolGauges& pool);
 
 }  // namespace paintplace::net

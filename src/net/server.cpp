@@ -7,9 +7,9 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <deque>
+#include <utility>
 
 #include "backend/backend.h"
 #include "core/pix2pix.h"
@@ -17,6 +17,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
 #include "obs/sampler.h"
+#include "obs/ticker.h"
 #include "obs/trace.h"
 
 namespace paintplace::net {
@@ -91,6 +92,9 @@ struct NetServer::Connection {
       tv.tv_usec = static_cast<suseconds_t>(us.count() % 1000000);
       ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
     }
+    // The writer starts first: the reader joins it, and may do so at once
+    // (a peer that sends garbage right after connecting).
+    writer = std::thread([this] { write_loop(); });
     reader = std::thread([this] {
       read_loop();
       // Reader is done (EOF, error, or protocol violation): no more entries
@@ -101,7 +105,6 @@ struct NetServer::Connection {
       server.metrics_.connections_closed.fetch_add(1, std::memory_order_relaxed);
       finished.store(true, std::memory_order_release);
     });
-    writer = std::thread([this] { write_loop(); });
   }
 
   ~Connection() {
@@ -404,8 +407,8 @@ NetServer::NetServer(const NetServerConfig& config, const ModelFactory& make_mod
   slo_monitor_ = std::make_unique<obs::SloMonitor>(config_.slo);
   slo_monitor_->start();
   // Constructed unconditionally so the obs_watchdog_* gauges always exist
-  // (the health frame reads them); the monitor thread only runs when a
-  // stall threshold is configured.
+  // (the health frame reads them); it only ticks when a stall threshold is
+  // configured.
   watchdog_ = std::make_unique<obs::Watchdog>(obs::MetricsRegistry::global());
   watchdog_->configure(config_.watchdog);
   watchdog_->set_depths_fn([this] {
@@ -446,7 +449,7 @@ NetServer::NetServer(const NetServerConfig& config, const ModelFactory& make_mod
 
   acceptor_ = std::thread([this] { accept_loop(); });
   if (config_.metrics_log_period.count() > 0) {
-    logger_ = std::thread([this] { log_loop(); });
+    log_task_ = obs::Ticker::instance().add(config_.metrics_log_period, [this] { log_stats(); });
   }
 }
 
@@ -480,60 +483,26 @@ void NetServer::reap_finished_connections() {
   }
 }
 
-void NetServer::log_loop() {
-  std::unique_lock<std::mutex> lock(log_mu_);
-  while (!shut_down_.load(std::memory_order_relaxed)) {
-    if (log_cv_.wait_for(lock, config_.metrics_log_period) == std::cv_status::no_timeout) {
-      continue;  // woken for shutdown — loop re-checks the flag
-    }
-    if (config_.legacy_log) {
-      // Pre-PR-9 one-line text format, kept for one release behind
-      // `forecast_serve --log-format legacy`.
-      std::printf("%s\n", render_log_line(metrics_, pool_gauges()).c_str());
-      std::fflush(stdout);
-      continue;
-    }
-    const PoolGauges pool = pool_gauges();
-    obs::Log::instance()
-        .info("net", "stats")
-        .kv("conns",
-            metrics_.connections_opened.load() - metrics_.connections_closed.load())
-        .kv("accepted", metrics_.requests_accepted.load())
-        .kv("completed", metrics_.requests_completed.load())
-        .kv("failed", metrics_.requests_failed.load())
-        .kv("shed", metrics_.shed_total())
-        .kv("p50_ms", metrics_.latency.quantile(0.50) * 1e3)
-        .kv("p99_ms", metrics_.latency.quantile(0.99) * 1e3)
-        .kv("queue", pool.queue_depth)
-        .kv("cache_hits", pool.cache_hits)
-        .kv("version", pool.model_version)
-        .kv("stalls", watchdog_->stalls());
-  }
-}
-
-PoolGauges NetServer::pool_gauges() const {
-  const PoolStats stats = pool_->stats();
-  PoolGauges g;
-  g.replicas = pool_->replicas();
-  g.queue_depth = stats.queue_depth;
-  g.max_queue_depth = stats.max_replica_depth;
-  g.cache_hits = stats.cache_hits;
-  g.cache_requests = stats.cache_requests;
-  g.batches = stats.serve.batches;
-  g.model_samples = stats.serve.model_samples;
-  g.model_version = stats.model_version;
-  return g;
+void NetServer::log_stats() {
+  const PoolStats pool = pool_->stats();
+  obs::Log::instance()
+      .info("net", "stats")
+      .kv("conns", metrics_.connections_opened.load() - metrics_.connections_closed.load())
+      .kv("accepted", metrics_.requests_accepted.load())
+      .kv("completed", metrics_.requests_completed.load())
+      .kv("failed", metrics_.requests_failed.load())
+      .kv("shed", metrics_.shed_total())
+      .kv("p50_ms", metrics_.latency.quantile(0.50) * 1e3)
+      .kv("p99_ms", metrics_.latency.quantile(0.99) * 1e3)
+      .kv("queue", pool.queue_depth)
+      .kv("cache_hits", pool.cache_hits)
+      .kv("version", pool.model_version)
+      .kv("stalls", watchdog_->stalls());
 }
 
 std::string NetServer::metrics_text() {
-  // Legacy flat listing first (the stable scrape surface clients grep), then
-  // the registry's Prometheus exposition for everything the rest of the
-  // process recorded (gemm_*, serve_*, train_*). The net_* instruments are
-  // filtered out of the second block — they already appear above.
-  std::string text = render_text(metrics_, pool_gauges());
-  text += obs::MetricsRegistry::global().render_prometheus(
-      [](const std::string& name) { return name.rfind("net_", 0) != 0; });
-  return text;
+  metrics_.set_pool(pool_->replicas(), pool_->stats());
+  return obs::MetricsRegistry::global().render_prometheus();
 }
 
 std::uint64_t NetServer::swap_checkpoint(const std::string& path) {
@@ -579,15 +548,13 @@ void NetServer::shutdown() {
                               static_cast<std::int64_t>(metrics_.requests_accepted.load()),
                               0);
 
-  // 1. Stop intake: close the listener (unblocks accept) and wake the logger.
+  // 1. Stop intake: shutting the listener down unblocks accept(); the fd is
+  // closed only once the acceptor is gone, so its number cannot be reused
+  // under a late accept(). Then stop the stats line.
   ::shutdown(listen_fd_, SHUT_RDWR);
-  close_fd(listen_fd_);
   if (acceptor_.joinable()) acceptor_.join();
-  {
-    std::lock_guard<std::mutex> lock(log_mu_);
-    log_cv_.notify_all();
-  }
-  if (logger_.joinable()) logger_.join();
+  close_fd(listen_fd_);
+  if (log_task_ != 0) obs::Ticker::instance().remove(std::exchange(log_task_, 0));
 
   // 2. Half-close every connection: readers see EOF, writers drain what was
   // accepted. Destroying the Connection joins its threads.
@@ -602,7 +569,7 @@ void NetServer::shutdown() {
   pool_->shutdown();
 
   // 4. One last tick so the final window reflects the drained traffic, then
-  // stop the SLO ticker and the watchdog.
+  // take the SLO monitor and the watchdog off the obs ticker.
   if (slo_monitor_) {
     slo_monitor_->tick();
     slo_monitor_->stop();

@@ -6,6 +6,8 @@
 // sharded replica pool; shed decisions, metrics scrapes and protocol errors
 // are answered immediately. The writer delivers responses in request order
 // per connection, recording accept-to-written latency into net::Metrics.
+// Periodic work (SLO windows, watchdog scans, the stats log line) runs as
+// tasks on the obs ticker (obs/ticker.h), not on threads of the server's.
 //
 // Lifecycle: shutdown() stops the acceptor, half-closes every connection
 // (readers see EOF, writers drain their pending responses), then drains the
@@ -16,7 +18,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -43,7 +44,7 @@ struct NetServerConfig {
   /// by default: a client naming an arbitrary filesystem path is a trusted
   /// operation.
   bool allow_swap = false;
-  /// Print a one-line metrics summary this often (0 = never).
+  /// Log a structured `net.stats` line this often (0 = never).
   std::chrono::milliseconds metrics_log_period{0};
   /// Close a connection whose socket has been silent this long (0 = never).
   /// Each close increments net_idle_closed and drains through the normal
@@ -57,10 +58,6 @@ struct NetServerConfig {
   /// request is aged admission-to-completion; requests past the threshold
   /// file a structured stall report and force-retain their trace.
   obs::WatchdogConfig watchdog;
-  /// Emit the pre-PR-9 one-line text format from the periodic metrics
-  /// logger instead of the structured obs::Log line (one-release fallback;
-  /// forecast_serve --log-format legacy).
-  bool legacy_log = false;
 };
 
 class NetServer {
@@ -89,15 +86,17 @@ class NetServer {
   ReplicaPool& pool() { return *pool_; }
   obs::SloMonitor& slo_monitor() { return *slo_monitor_; }
   obs::Watchdog& watchdog() { return *watchdog_; }
-  PoolGauges pool_gauges() const;
+
+  /// The registry's Prometheus exposition, pool gauges refreshed first —
+  /// what a kMetricsRequest frame answers. Valid after shutdown() too.
+  std::string metrics_text();
 
  private:
   struct Connection;
 
   void accept_loop();
-  void log_loop();
+  void log_stats();
   void reap_finished_connections();
-  std::string metrics_text();
 
   NetServerConfig config_;
   std::unique_ptr<ReplicaPool> pool_;
@@ -109,9 +108,7 @@ class NetServer {
   std::uint16_t port_ = 0;
   std::atomic<bool> shut_down_{false};
   std::thread acceptor_;
-  std::thread logger_;
-  std::mutex log_mu_;
-  std::condition_variable log_cv_;
+  std::uint64_t log_task_ = 0;  ///< obs ticker task of the stats line, 0 = none
 
   std::mutex connections_mu_;
   std::list<std::unique_ptr<Connection>> connections_;

@@ -2,7 +2,6 @@
 
 #include <fcntl.h>
 #include <signal.h>
-#include <sys/syscall.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -10,7 +9,7 @@
 
 #include "obs/build_info.h"
 #include "obs/metrics_registry.h"
-#include "obs/trace.h"
+#include "obs/thread_slot.h"
 
 namespace paintplace::obs {
 namespace {
@@ -20,22 +19,6 @@ std::uint64_t steady_us() {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-/// Copies `src` into dst[cap], truncating, replacing anything that would
-/// need JSON escaping (quotes, backslashes, control/non-ASCII bytes) with
-/// '_'. Done at record time so the signal handler emits bytes verbatim.
-void sanitize_into(char* dst, std::size_t cap, const char* src) {
-  std::size_t i = 0;
-  if (src != nullptr) {
-    for (; src[i] != '\0' && i + 1 < cap; ++i) {
-      const unsigned char c = static_cast<unsigned char>(src[i]);
-      dst[i] = (c >= 0x20 && c <= 0x7e && c != '"' && c != '\\')
-                   ? static_cast<char>(c)
-                   : '_';
-    }
-  }
-  dst[i] = '\0';
 }
 
 // ---------------------------------------------------------------------------
@@ -93,32 +76,7 @@ const char* to_string(EventKind kind) {
   return "mark";
 }
 
-// ---------------------------------------------------------------------------
-// Fixed per-thread storage. Slots are heap-allocated once per thread and
-// published into a fixed pointer table; they are never freed (a thread's
-// last events stay dumpable after it exits), so the handler can walk the
-// table with plain loads. Each slot has a single writer (its thread); the
-// handler is the only concurrent reader, synchronized by the head/depth
-// release stores.
-
-struct FlightRecorder::ThreadSlot {
-  std::uint64_t os_tid = 0;
-
-  // Event ring: head counts events ever recorded; slot = head % capacity.
-  std::atomic<std::uint64_t> head{0};
-  FlightEvent events[kEventsPerThread];
-
-  // Active span stack: names are copied in at push time (no pointers into
-  // stack frames), depth published with release so the handler sees a
-  // consistent prefix.
-  std::atomic<std::uint32_t> span_depth{0};
-  char span_names[kMaxSpanDepth][kSpanNameLen];
-};
-
 namespace {
-
-std::atomic<FlightRecorder::ThreadSlot*> g_slots[FlightRecorder::kMaxThreads];
-std::atomic<std::uint32_t> g_slot_count{0};
 
 // Metrics snapshot the handler embeds verbatim: pre-escaped as JSON string
 // content at refresh time (off the signal path).
@@ -131,27 +89,29 @@ std::atomic<std::size_t> g_metrics_snapshot_len{0};
 constexpr std::size_t kDumpBufCap = 8 * 1024 * 1024;
 char g_dump_buf[kDumpBufCap];
 
-thread_local FlightRecorder::ThreadSlot* t_slot = nullptr;
-thread_local bool t_slot_overflow = false;
-
 struct sigaction g_prev_actions[32];
+
+/// Writes the first n bytes of g_dump_buf to path (open/write/close only,
+/// so the signal handler may call it).
+bool write_dump(const char* path, std::size_t n) {
+  const int fd = ::open(path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) return false;
+  std::size_t off = 0;
+  while (off < n) {
+    const ssize_t w = ::write(fd, g_dump_buf + off, n - off);
+    if (w <= 0) break;
+    off += static_cast<std::size_t>(w);
+  }
+  ::close(fd);
+  return off == n;
+}
 
 }  // namespace
 
 void flight_recorder_signal_handler(int signo) {
   FlightRecorder& rec = FlightRecorder::instance();
   FlightRecorder::record(EventKind::kSignal, 0, "fatal signal", signo, 0);
-  const std::size_t n = rec.render_dump(g_dump_buf, kDumpBufCap, signo);
-  const int fd = ::open(rec.dump_path(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd >= 0) {
-    std::size_t off = 0;
-    while (off < n) {
-      const ssize_t w = ::write(fd, g_dump_buf + off, n - off);
-      if (w <= 0) break;
-      off += static_cast<std::size_t>(w);
-    }
-    ::close(fd);
-  }
+  write_dump(rec.dump_path(), rec.render_dump(g_dump_buf, kDumpBufCap, signo));
   // Restore the default disposition and re-raise so the process still dies
   // with the original signal (exit status / core dump preserved).
   ::signal(signo, SIG_DFL);
@@ -167,9 +127,9 @@ FlightRecorder::FlightRecorder() : epoch_us_(steady_us()) {}
 
 void FlightRecorder::enable() {
   enabled_.store(true, std::memory_order_relaxed);
-  // Spans now also maintain the per-thread forensic stack (one extra copy
-  // per span while enabled; still a single relaxed load when not).
-  detail::set_forensics_spans(true);
+  // Spans now also maintain their thread's span stack (one name copy per
+  // span while enabled; still a single relaxed load when not).
+  detail::want_span_stacks(detail::kStackForensics, true);
 }
 
 void FlightRecorder::install(const std::string& dir) {
@@ -201,59 +161,21 @@ void FlightRecorder::install(const std::string& dir) {
   }
 }
 
-FlightRecorder::ThreadSlot* FlightRecorder::slot_for_this_thread() {
-  if (t_slot != nullptr) return t_slot;
-  if (t_slot_overflow) return nullptr;
-  const std::uint32_t idx = g_slot_count.fetch_add(1, std::memory_order_relaxed);
-  if (idx >= kMaxThreads) {
-    t_slot_overflow = true;  // beyond the fixed table: this thread records nothing
-    return nullptr;
-  }
-  auto* slot = new ThreadSlot();
-  slot->os_tid = static_cast<std::uint64_t>(::syscall(SYS_gettid));
-  g_slots[idx].store(slot, std::memory_order_release);
-  t_slot = slot;
-  return slot;
-}
-
 void FlightRecorder::record(EventKind kind, std::uint64_t trace_id, const char* msg,
                             std::int64_t a, std::int64_t b) {
   FlightRecorder& rec = instance();
   if (!rec.enabled_.load(std::memory_order_relaxed)) return;
-  ThreadSlot* slot = rec.slot_for_this_thread();
+  ThreadSlot* slot = this_thread_slot();
   if (slot == nullptr) return;
-  const std::uint64_t head = slot->head.load(std::memory_order_relaxed);
-  FlightEvent& e = slot->events[head % kEventsPerThread];
+  const std::uint64_t head = slot->flight_head.load(std::memory_order_relaxed);
+  FlightEvent& e = slot->flight[head % kEventsPerThread];
   e.t_us = steady_us() - rec.epoch_us_;
   e.trace_id = trace_id;
   e.kind = kind;
   sanitize_into(e.msg, sizeof(e.msg), msg);
   e.a = a;
   e.b = b;
-  slot->head.store(head + 1, std::memory_order_release);
-}
-
-void FlightRecorder::push_span(const char* name) {
-  FlightRecorder& rec = instance();
-  if (!rec.enabled_.load(std::memory_order_relaxed)) return;
-  ThreadSlot* slot = rec.slot_for_this_thread();
-  if (slot == nullptr) return;
-  const std::uint32_t depth = slot->span_depth.load(std::memory_order_relaxed);
-  if (depth < kMaxSpanDepth) {
-    sanitize_into(slot->span_names[depth], kSpanNameLen, name);
-  }
-  // Depth grows past the table when spans nest absurdly deep; pops below
-  // shrink it back and the overflow frames are simply not named.
-  slot->span_depth.store(depth + 1, std::memory_order_release);
-}
-
-void FlightRecorder::pop_span() {
-  FlightRecorder& rec = instance();
-  if (!rec.enabled_.load(std::memory_order_relaxed)) return;
-  ThreadSlot* slot = t_slot;  // a pop always follows this thread's push
-  if (slot == nullptr) return;
-  const std::uint32_t depth = slot->span_depth.load(std::memory_order_relaxed);
-  if (depth > 0) slot->span_depth.store(depth - 1, std::memory_order_release);
+  slot->flight_head.store(head + 1, std::memory_order_release);
 }
 
 void FlightRecorder::refresh_metrics_snapshot() {
@@ -302,32 +224,29 @@ std::size_t FlightRecorder::render_dump(char* buf, std::size_t cap,
   out.str(build.native_kernel ? "true" : "false");
   out.str("},\"threads\":[");
 
-  const std::uint32_t slot_count = g_slot_count.load(std::memory_order_acquire);
-  bool first_thread = true;
-  for (std::uint32_t s = 0; s < slot_count && s < kMaxThreads; ++s) {
-    const ThreadSlot* slot = g_slots[s].load(std::memory_order_acquire);
-    if (slot == nullptr) continue;
-    if (!first_thread) out.ch(',');
-    first_thread = false;
+  const std::size_t slot_count = thread_slot_count();
+  for (std::size_t s = 0; s < slot_count; ++s) {
+    const ThreadSlot* slot = thread_slot(s);
+    if (s > 0) out.ch(',');
 
     out.str("{\"tid\":");
-    out.u64(slot->os_tid);
+    out.u64(slot->os_tid.load(std::memory_order_relaxed));
 
     out.str(",\"span_stack\":[");
-    std::uint32_t depth = slot->span_depth.load(std::memory_order_acquire);
-    if (depth > kMaxSpanDepth) depth = kMaxSpanDepth;
+    std::uint32_t depth = slot->depth.load(std::memory_order_acquire);
+    if (depth > ThreadSlot::kMaxSpanDepth) depth = ThreadSlot::kMaxSpanDepth;
     for (std::uint32_t d = 0; d < depth; ++d) {
       if (d > 0) out.ch(',');
       out.ch('"');
-      out.str(slot->span_names[d]);
+      out.str(slot->names[d]);
       out.ch('"');
     }
     out.str("],\"events\":[");
 
-    const std::uint64_t head = slot->head.load(std::memory_order_acquire);
+    const std::uint64_t head = slot->flight_head.load(std::memory_order_acquire);
     const std::uint64_t start = head > kEventsPerThread ? head - kEventsPerThread : 0;
     for (std::uint64_t i = start; i < head; ++i) {
-      const FlightEvent& e = slot->events[i % kEventsPerThread];
+      const FlightEvent& e = slot->flight[i % kEventsPerThread];
       if (i != start) out.ch(',');
       out.str("{\"t_us\":");
       out.u64(e.t_us);
@@ -353,38 +272,21 @@ std::size_t FlightRecorder::render_dump(char* buf, std::size_t cap,
 }
 
 bool FlightRecorder::dump(const std::string& path, int signal_number) {
-  const std::size_t n = render_dump(g_dump_buf, kDumpBufCap, signal_number);
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return false;
-  std::size_t off = 0;
-  while (off < n) {
-    const ssize_t w = ::write(fd, g_dump_buf + off, n - off);
-    if (w <= 0) break;
-    off += static_cast<std::size_t>(w);
-  }
-  ::close(fd);
-  return off == n;
+  return write_dump(path.c_str(), render_dump(g_dump_buf, kDumpBufCap, signal_number));
 }
 
 std::size_t FlightRecorder::recorded() const {
   std::size_t total = 0;
-  const std::uint32_t slot_count = g_slot_count.load(std::memory_order_acquire);
-  for (std::uint32_t s = 0; s < slot_count && s < kMaxThreads; ++s) {
-    const ThreadSlot* slot = g_slots[s].load(std::memory_order_acquire);
-    if (slot == nullptr) continue;
-    const std::uint64_t head = slot->head.load(std::memory_order_acquire);
+  for (std::size_t s = 0; s < thread_slot_count(); ++s) {
+    const std::uint64_t head = thread_slot(s)->flight_head.load(std::memory_order_acquire);
     total += static_cast<std::size_t>(head < kEventsPerThread ? head : kEventsPerThread);
   }
   return total;
 }
 
 void FlightRecorder::clear() {
-  const std::uint32_t slot_count = g_slot_count.load(std::memory_order_acquire);
-  for (std::uint32_t s = 0; s < slot_count && s < kMaxThreads; ++s) {
-    ThreadSlot* slot = g_slots[s].load(std::memory_order_acquire);
-    if (slot == nullptr) continue;
-    slot->head.store(0, std::memory_order_release);
-    slot->span_depth.store(0, std::memory_order_release);
+  for (std::size_t s = 0; s < thread_slot_count(); ++s) {
+    thread_slot(s)->flight_head.store(0, std::memory_order_release);
   }
 }
 

@@ -2,16 +2,16 @@
 //
 // A black box for the serving process. Every thread that touches a request
 // appends fixed-size structured events (request admitted, shed decision,
-// model swap, drain, stall, last log lines) into its own lock-free ring;
+// model swap, drain, stall, last log lines) into the lock-free ring of its
+// obs thread slot (thread_slot.h);
 // when the process dies on SIGSEGV/SIGABRT/SIGBUS, an async-signal-safe
 // handler walks every ring and writes a JSON post-mortem file containing:
 //
 //   - the fatal signal number,
 //   - build identity (git sha, compiler, kernel flavour — obs/build_info.h),
 //   - per-thread active span stacks (what each thread was *inside* when the
-//     process died — span names are copied into recorder-owned buffers at
-//     push time, so the handler never chases pointers into dead stack
-//     frames),
+//     process died — span names are copied into the slot at push time, so
+//     the handler never chases pointers into dead stack frames),
 //   - per-thread event rings, oldest to newest,
 //   - the most recent metrics-registry snapshot (refreshed off the signal
 //     path by the watchdog tick — the handler only copies bytes).
@@ -24,9 +24,9 @@
 // plain loads.
 //
 // Recording cost when disabled: one relaxed atomic load per record() call
-// (and span-stack maintenance is additionally gated behind the
-// kSpanMaskForensics bit in obs::detail::g_span_mask, so an inert Span
-// still costs exactly one load — bench_serve guards this).
+// (and span-stack maintenance is additionally gated behind the stack bit
+// in obs::detail::g_span_mask, so an inert Span still costs exactly one
+// load — bench_serve guards this).
 //
 // enable() turns on recording only (tests, programmatic use); install(dir)
 // additionally registers the signal handlers and fixes the dump path to
@@ -67,13 +67,11 @@ struct FlightEvent {
 class FlightRecorder {
  public:
   static constexpr std::size_t kEventsPerThread = 128;
-  static constexpr std::size_t kMaxThreads = 256;
-  static constexpr std::size_t kMaxSpanDepth = 32;
-  static constexpr std::size_t kSpanNameLen = 48;
 
   static FlightRecorder& instance();
 
-  /// Starts recording (rings fill; no signal handlers). Idempotent.
+  /// Starts recording (rings fill, spans keep their thread's stack; no
+  /// signal handlers). Idempotent.
   void enable();
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
@@ -88,11 +86,6 @@ class FlightRecorder {
   static void record(EventKind kind, std::uint64_t trace_id, const char* msg,
                      std::int64_t a = 0, std::int64_t b = 0);
 
-  /// Span-stack hooks, driven by obs::Span when kSpanMaskForensics is set.
-  /// The name is copied into recorder-owned storage at push time.
-  static void push_span(const char* name);
-  static void pop_span();
-
   /// Copies the global metrics registry's Prometheus text into the
   /// preallocated snapshot buffer the signal handler embeds in the dump.
   /// Called off the signal path (watchdog tick, install time).
@@ -105,15 +98,12 @@ class FlightRecorder {
 
   /// Events currently recorded across all thread rings (tests).
   std::size_t recorded() const;
-  /// Drops all ring contents and span stacks (tests). Not thread-safe
-  /// against concurrent recording.
+  /// Drops all ring contents (tests; live spans keep their stacks). Not
+  /// thread-safe against concurrent recording.
   void clear();
-
-  struct ThreadSlot;  ///< fixed per-thread storage (defined in .cpp)
 
  private:
   FlightRecorder();
-  ThreadSlot* slot_for_this_thread();
 
   /// Builds the dump into buf (AS-safe: no allocation, no locks) and
   /// returns the byte length.

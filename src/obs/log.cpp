@@ -104,32 +104,25 @@ LogLine::~LogLine() {
   if (live_ && log_ != nullptr) log_->emit(*this);
 }
 
-LogLine& LogLine::kv(const char* key, std::int64_t value) {
-  if (!live_) return *this;
-  const std::string text = std::to_string(value);
+LogLine& LogLine::add(const char* key, std::string text) {
   fields_.push_back({key, text, text});
   return *this;
+}
+
+LogLine& LogLine::kv(const char* key, std::int64_t value) {
+  return live_ ? add(key, std::to_string(value)) : *this;
 }
 
 LogLine& LogLine::kv(const char* key, std::uint64_t value) {
-  if (!live_) return *this;
-  const std::string text = std::to_string(value);
-  fields_.push_back({key, text, text});
-  return *this;
+  return live_ ? add(key, std::to_string(value)) : *this;
 }
 
 LogLine& LogLine::kv(const char* key, double value) {
-  if (!live_) return *this;
-  const std::string text = format_double(value);
-  fields_.push_back({key, text, text});
-  return *this;
+  return live_ ? add(key, format_double(value)) : *this;
 }
 
 LogLine& LogLine::kv(const char* key, bool value) {
-  if (!live_) return *this;
-  const char* text = value ? "true" : "false";
-  fields_.push_back({key, text, text});
-  return *this;
+  return live_ ? add(key, value ? "true" : "false") : *this;
 }
 
 LogLine& LogLine::kv(const char* key, const char* value) {
@@ -187,8 +180,8 @@ void Log::set_sink(std::function<void(const std::string&)> sink) {
   sink_ = std::move(sink);
 }
 
-std::uint64_t Log::emitted() const { return emitted_.load(std::memory_order_relaxed); }
-std::uint64_t Log::suppressed() const { return suppressed_.load(std::memory_order_relaxed); }
+std::uint64_t Log::emitted() const { return emitted_counter_->load(); }
+std::uint64_t Log::suppressed() const { return suppressed_counter_->load(); }
 
 void Log::reset_rate_limits() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -217,7 +210,6 @@ void Log::emit(const LogLine& line) {
       }
       if (window.in_window >= config_.rate_limit_per_key) {
         ++window.suppressed;
-        suppressed_.fetch_add(1, std::memory_order_relaxed);
         suppressed_counter_->fetch_add(1);
         return;
       }
@@ -271,7 +263,6 @@ void Log::emit(const LogLine& line) {
       }
     }
 
-    emitted_.fetch_add(1, std::memory_order_relaxed);
     emitted_counter_->fetch_add(1);
 
     // Mirror the line into the flight recorder so a post-mortem shows the

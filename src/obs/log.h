@@ -91,6 +91,7 @@ class LogLine {
  private:
   friend class Log;
   LogLine(Log* log, LogLevel level, const char* subsystem, const char* event);
+  LogLine& add(const char* key, std::string text);  ///< text doubles as the JSON literal
 
   struct Field {
     std::string key;
@@ -142,8 +143,8 @@ class Log {
   /// line). Tests capture lines here; pass nullptr to restore the default.
   void set_sink(std::function<void(const std::string&)> sink);
 
-  /// Lines written / dropped since process start (mirrors the registry
-  /// counters; here so tests need not scrape).
+  /// Lines written / dropped since process start (the registry counters;
+  /// here so tests need not scrape).
   std::uint64_t emitted() const;
   std::uint64_t suppressed() const;
 
@@ -172,8 +173,6 @@ class Log {
 
   Counter* emitted_counter_ = nullptr;
   Counter* suppressed_counter_ = nullptr;
-  std::atomic<std::uint64_t> emitted_{0};
-  std::atomic<std::uint64_t> suppressed_{0};
 };
 
 }  // namespace paintplace::obs

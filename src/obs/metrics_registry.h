@@ -1,12 +1,12 @@
 // paintplace::obs — unified metrics registry.
 //
 // One process-wide home for every counter, gauge, and histogram the stack
-// emits, replacing the per-subsystem silos (net::Metrics used to own its
-// atomics privately; it is now a typed view over this registry — see
-// net/metrics.h). Metrics are get-or-create by name: the first caller
-// creates the instrument, later callers bind the same one, so the serving
-// path, the training loop, and the GEMM wrappers all land in a single
-// exposition.
+// emits (net::Metrics is a typed view over it — see net/metrics.h), and the
+// one metrics exposition: the PPN1 metrics frame and `forecast_serve
+// --metrics-dump` both serve render_prometheus(). Metrics are get-or-create
+// by name: the first caller creates the instrument, later callers bind the
+// same one, so the serving path, the training loop, and the GEMM wrappers
+// all land in a single exposition.
 //
 // Everything is cheap enough for hot paths: Counter::fetch_add is one
 // relaxed atomic increment, Histogram::record is two. Name lookup takes a
@@ -64,8 +64,7 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Log-spaced histogram over positive values, factored out of the former
-/// net::LatencyHistogram and kept bit-compatible with it: bucket b covers
+/// Log-spaced histogram over positive values: bucket b covers
 /// [2^b, 2^(b+1)) millionths of a unit — for latencies in seconds that is
 /// 1µs up to ~33.5s, with bucket 0 absorbing anything smaller and the last
 /// bucket absorbing overflow. record() never blocks; quantiles interpolate
@@ -92,8 +91,6 @@ class Histogram {
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   /// Sum of recorded values (exact to one millionth of a unit per sample).
   double sum() const;
-  /// Kept for latency-histogram call sites that read `total_seconds()`.
-  double total_seconds() const { return sum(); }
 
   /// Value below which fraction `q` (0..1] of samples fall, interpolated
   /// inside the winning bucket. 0 with no samples.
@@ -101,8 +98,8 @@ class Histogram {
 
   /// The same interpolation over a raw bucket-count array — for quantiles
   /// of *derived* distributions that were never a live Histogram: windowed
-  /// deltas (SloMonitor) and cross-process aggregation (forecast_client
-  /// ships bucket counts over a pipe).
+  /// deltas (SloMonitor), cross-process aggregation (forecast_client ships
+  /// bucket counts over a pipe) and scraped expositions.
   static double quantile_of(const std::array<std::uint64_t, kBuckets>& buckets, double q);
 
   void reset();
@@ -156,11 +153,8 @@ class MetricsRegistry {
   const Counter* find_counter(const std::string& name) const;
   const Histogram* find_histogram(const std::string& name) const;
 
-  /// Prometheus text exposition of every instrument, in name order. `keep`
-  /// (when set) filters by name — the net front-end uses it to exclude the
-  /// counters its legacy flat block already lists.
-  std::string render_prometheus(
-      const std::function<bool(const std::string&)>& keep = nullptr) const;
+  /// Prometheus text exposition of every instrument, in name order.
+  std::string render_prometheus() const;
 
   /// Registered instrument names, in name order (tests, debugging).
   std::vector<std::string> names() const;

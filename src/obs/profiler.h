@@ -1,20 +1,20 @@
 // paintplace::obs — span-stack sampling profiler.
 //
 // A statistical profiler that reuses the tracing instrumentation instead of
-// signals or frame pointers: while profiling is on, every live Span pushes
-// its name onto a per-thread stack at construction and pops it at
-// destruction, and a sampler thread periodically walks each thread's stack
-// and folds it into `root;child;grandchild -> count` aggregates. Because the
-// spans are the semantic units of the serving path (frame decode, pool
-// dispatch, batch run, per-layer forwards, per-GEMM kernels), the folded
-// stacks read like a flame graph of the *request pipeline*, not of libc
-// internals — and the whole thing works on any platform the tracer does.
+// signals or frame pointers: while profiling is on, every live Span sits on
+// its thread's span stack (thread_slot.h), and a ticker task (ticker.h)
+// periodically walks every thread's stack and folds it into
+// `root;child;grandchild -> count` aggregates. Because the spans are the
+// semantic units of the serving path (frame decode, pool dispatch, batch
+// run, per-layer forwards, per-GEMM kernels), the folded stacks read like a
+// flame graph of the *request pipeline*, not of libc internals — and the
+// whole thing works on any platform the tracer does.
 //
 // Cost model matches Span tracing: when the profiler is off (the default) a
 // Span construction still costs exactly one relaxed atomic load — the same
 // load tracing uses, one combined flags word (see obs::detail::g_span_mask
 // in trace.h) — and bench_serve's overhead guard covers both. When on, a
-// push/pop is an uncontended per-thread mutex plus a pointer store.
+// push/pop is an uncontended per-thread mutex plus a name copy.
 //
 // Export: collapsed() emits standard collapsed-stack text, one
 // "a;b;c count" per line — feed it to inferno/flamegraph.pl or paste into
@@ -22,14 +22,11 @@
 // `forecast_serve --profile` and bench_serve print.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -37,23 +34,20 @@ namespace paintplace::obs {
 
 class Profiler {
  public:
-  /// Frames kept per thread stack; deeper nesting still balances push/pop
-  /// but the excess frames are not recorded.
-  static constexpr int kMaxDepth = 64;
-
   static Profiler& instance();
 
   bool enabled() const;
 
-  /// Starts the background sampler at the given period and turns on the
-  /// span push/pop hook. Idempotent while running.
+  /// Turns on span stacks and samples them on the obs ticker at the given
+  /// period. Idempotent while running.
   void start(std::chrono::microseconds period = std::chrono::milliseconds(2));
-  /// Turns the hook off and joins the sampler thread. Aggregates survive
-  /// until clear() so they can be exported after the run.
+  /// Stops sampling. Aggregates survive until clear() so they can be
+  /// exported after the run.
   void stop();
 
-  /// One sweep over every thread's live stack (the sampler thread's body;
-  /// public so tests and benches can sample deterministically).
+  /// One sweep over every thread's live stack (the ticker task's body;
+  /// public so tests and benches can sample deterministically). A no-op
+  /// while the profiler is off.
   void sample_once();
 
   void clear();
@@ -68,30 +62,15 @@ class Profiler {
   /// The k hottest folded stacks, by sample count descending.
   std::vector<std::pair<std::string, std::uint64_t>> top_k(std::size_t k) const;
 
-  /// Span hooks — called from Span's constructor/destructor when the
-  /// profile bit of the span mask is set. `name` must stay valid until the
-  /// matching pop (Span passes its inline event buffer).
-  void push(const char* name);
-  void pop();
-
-  struct ThreadStack;  ///< per-thread live-span stack (defined in profiler.cpp)
-
  private:
   Profiler() = default;
-  ThreadStack& stack_for_this_thread();
 
-  mutable std::mutex stacks_mu_;
-  std::vector<std::shared_ptr<ThreadStack>> stacks_;
-  std::vector<std::shared_ptr<ThreadStack>> free_stacks_;  ///< from exited threads
+  std::mutex run_mu_;         ///< guards task_ (start/stop)
+  std::uint64_t task_ = 0;    ///< ticker task id, 0 = not sampling
 
   mutable std::mutex agg_mu_;
   std::map<std::string, std::uint64_t> aggregate_;
   std::uint64_t samples_ = 0;
-
-  std::atomic<bool> running_{false};
-  std::thread sampler_;
-
-  friend struct ThreadStackHandle;
 };
 
 }  // namespace paintplace::obs

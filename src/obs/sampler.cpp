@@ -2,6 +2,7 @@
 
 #include "common/check.h"
 #include "obs/metrics_registry.h"
+#include "obs/thread_slot.h"
 
 namespace paintplace::obs {
 
@@ -19,7 +20,7 @@ std::uint64_t splitmix64(std::uint64_t x) {
 
 }  // namespace
 
-Sampler::Sampler(CommitFn commit) : commit_(std::move(commit)) {
+Sampler::Sampler() {
   auto& reg = MetricsRegistry::global();
   sampled_ = &reg.counter("obs_trace_sampled_total",
                           "requests head-sampled into the trace (1-in-N)");
@@ -48,11 +49,6 @@ void Sampler::disable() {
   pending_.clear();
 }
 
-SamplerConfig Sampler::config() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return config_;
-}
-
 void Sampler::begin(std::uint64_t trace_id) {
   if (!active() || trace_id == 0) return;
   std::lock_guard<std::mutex> lock(mu_);
@@ -62,13 +58,13 @@ void Sampler::begin(std::uint64_t trace_id) {
   if (req.head_sampled) sampled_->fetch_add(1);
 }
 
-bool Sampler::offer(const SpanEvent& event, const Ring& ring) {
+bool Sampler::offer(const SpanEvent& event, ThreadSlot* slot) {
   if (!active()) return false;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = pending_.find(event.trace_id);
   if (it == pending_.end() || it->second.head_sampled) return false;
   if (it->second.spans.size() < config_.max_buffered_spans) {
-    it->second.spans.emplace_back(ring, event);
+    it->second.spans.emplace_back(slot, event);
   }
   return true;
 }
@@ -94,17 +90,17 @@ bool Sampler::finish(std::uint64_t trace_id, double latency_s, RequestOutcome ou
       discarded_->fetch_add(1);
     }
   }
-  // Commit outside the sampler lock: ring->record takes the ring's own
+  // Commit outside the sampler lock: record_trace takes the ring's own
   // mutex, and holding both across many spans would stall the hot offer().
   if (retain) {
-    for (const auto& [ring, event] : req.spans) commit_(ring, event);
+    for (const auto& [slot, event] : req.spans) record_trace(*slot, event);
   }
   return retain;
 }
 
 void Sampler::force_retain(std::uint64_t trace_id) {
   if (!active() || trace_id == 0) return;
-  std::vector<std::pair<Ring, SpanEvent>> spans;
+  std::vector<std::pair<ThreadSlot*, SpanEvent>> spans;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = pending_.find(trace_id);
@@ -116,7 +112,7 @@ void Sampler::force_retain(std::uint64_t trace_id) {
     it->second.spans.clear();
     retained_stall_->fetch_add(1);
   }
-  for (const auto& [ring, event] : spans) commit_(ring, event);
+  for (const auto& [slot, event] : spans) record_trace(*slot, event);
 }
 
 void Sampler::reset() {

@@ -14,8 +14,8 @@
 // trace id. While the request runs, every span carrying that id is offered
 // to the sampler instead of being recorded — head-sampled requests pass
 // straight through to the per-thread rings, everything else buffers
-// provisionally (tagged with the ring it would have landed in, so a commit
-// preserves thread attribution). At completion, finish(trace_id, latency,
+// provisionally (tagged with the thread slot whose ring it would have landed
+// in, so a commit preserves thread attribution). At completion, finish(trace_id, latency,
 // outcome) either commits the buffered spans to their rings or discards
 // them. Spans with trace id 0 (or an id the sampler was never told about —
 // e.g. in-process ForecastServer traffic) bypass the sampler entirely, so
@@ -35,8 +35,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
@@ -68,19 +66,13 @@ enum class RequestOutcome : std::uint8_t { kOk = 0, kShed = 1, kError = 2 };
 
 class Sampler {
  public:
-  using Ring = std::shared_ptr<Tracer::ThreadRing>;
-  /// Writes one committed event into the ring it was provisionally tagged
-  /// with. Bound by the Tracer (the ring type is private to trace.cpp).
-  using CommitFn = std::function<void(const Ring&, const SpanEvent&)>;
-
-  explicit Sampler(CommitFn commit);
+  Sampler();
 
   /// Enables sampling with the given policy and resets decision state.
   void configure(const SamplerConfig& config);
   /// Back to record-everything (PR 7 behavior). Buffered spans are dropped.
   void disable();
   bool active() const { return active_.load(std::memory_order_relaxed); }
-  SamplerConfig config() const;
 
   /// Registers a request at the point its trace id is minted and takes the
   /// head-sampling decision for it. No-op while inactive.
@@ -89,7 +81,7 @@ class Sampler {
   /// Offers a completed span. Returns true when the sampler consumed it
   /// (buffered provisionally); false when the caller should record it
   /// directly (head-sampled request, or an id begin() never saw).
-  bool offer(const SpanEvent& event, const Ring& ring);
+  bool offer(const SpanEvent& event, ThreadSlot* slot);
 
   /// Commits (slow / shed / error) or discards the request's buffered
   /// spans and bumps the decision counters. Unknown ids are ignored.
@@ -115,10 +107,9 @@ class Sampler {
  private:
   struct PendingRequest {
     bool head_sampled = false;
-    std::vector<std::pair<Ring, SpanEvent>> spans;
+    std::vector<std::pair<ThreadSlot*, SpanEvent>> spans;
   };
 
-  CommitFn commit_;
   std::atomic<bool> active_{false};
 
   mutable std::mutex mu_;

@@ -1,6 +1,9 @@
 #include "obs/slo.h"
 
 #include <algorithm>
+#include <utility>
+
+#include "obs/ticker.h"
 
 namespace paintplace::obs {
 
@@ -37,19 +40,11 @@ SloMonitor::SloMonitor(const SloConfig& config, MetricsRegistry& registry)
 SloMonitor::~SloMonitor() { stop(); }
 
 void SloMonitor::start() {
-  if (running_.exchange(true)) return;
-  ticker_ = std::thread([this] {
-    while (running_.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(config_.tick_period);
-      if (!running_.load(std::memory_order_relaxed)) break;
-      tick();
-    }
-  });
+  if (task_ == 0) task_ = Ticker::instance().add(kTickPeriod, [this] { tick(); });
 }
 
 void SloMonitor::stop() {
-  if (!running_.exchange(false)) return;
-  if (ticker_.joinable()) ticker_.join();
+  if (task_ != 0) Ticker::instance().remove(std::exchange(task_, 0));
 }
 
 void SloMonitor::tick() {

@@ -15,16 +15,15 @@
 // — and reported in the PPN1 health frame (net/wire.h kHealthResponse).
 //
 // tick() is public and takes an explicit timestamp so tests can drive the
-// window edge deterministically; start() runs it on a background thread.
+// window edge deterministically; start() runs it once a second on the obs
+// ticker (ticker.h).
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
 #include <mutex>
 #include <string>
-#include <thread>
 
 #include "obs/metrics_registry.h"
 
@@ -36,7 +35,6 @@ struct SloConfig {
   double error_rate_objective = 0.01;  ///< (failed+shed)/total budget
   /// Burn rate above which the state degrades to kWarning (kBreached at 1).
   double warning_burn = 0.5;
-  std::chrono::milliseconds tick_period{1000};
   /// Instrument names polled from the registry. Defaults match the net
   /// front-end; point them elsewhere to watch a different request surface.
   std::string latency_histogram = "net_request_latency_seconds";
@@ -51,6 +49,9 @@ const char* to_string(SloState state);
 
 class SloMonitor {
  public:
+  /// How often start() snapshots the instruments.
+  static constexpr std::chrono::seconds kTickPeriod{1};
+
   explicit SloMonitor(const SloConfig& config,
                       MetricsRegistry& registry = MetricsRegistry::global());
   ~SloMonitor();
@@ -58,9 +59,10 @@ class SloMonitor {
   SloMonitor(const SloMonitor&) = delete;
   SloMonitor& operator=(const SloMonitor&) = delete;
 
-  /// Starts the background ticker. Idempotent.
+  /// Registers tick() with the obs ticker. Idempotent; not thread-safe
+  /// against a concurrent stop().
   void start();
-  /// Stops and joins it. Also runs on destruction.
+  /// Unregisters it. Also runs on destruction.
   void stop();
 
   /// One snapshot + recompute at an explicit time (seconds on the
@@ -108,8 +110,7 @@ class SloMonitor {
   Gauge& error_burn_gauge_;
   Gauge& state_gauge_;
 
-  std::atomic<bool> running_{false};
-  std::thread ticker_;
+  std::uint64_t task_ = 0;  ///< ticker task id, 0 = not started
 };
 
 }  // namespace paintplace::obs

@@ -5,23 +5,34 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "obs/flight_recorder.h"
 #include "obs/log.h"
-#include "obs/profiler.h"
 #include "obs/sampler.h"
+#include "obs/thread_slot.h"
 
 namespace paintplace::obs {
 
 namespace detail {
 std::atomic<std::uint8_t> g_span_mask{0};
 
-void set_forensics_spans(bool on) {
-  if (on) {
-    g_span_mask.fetch_or(kSpanMaskForensics, std::memory_order_relaxed);
+namespace {
+std::mutex g_stack_users_mu;
+std::atomic<std::uint8_t> g_stack_users{0};
+}  // namespace
+
+void want_span_stacks(StackUser user, bool on) {
+  std::lock_guard<std::mutex> lock(g_stack_users_mu);
+  std::uint8_t users = g_stack_users.load(std::memory_order_relaxed);
+  users = on ? users | user : users & static_cast<std::uint8_t>(~user);
+  g_stack_users.store(users, std::memory_order_relaxed);
+  if (users != 0) {
+    g_span_mask.fetch_or(kSpanMaskStack, std::memory_order_relaxed);
   } else {
-    g_span_mask.fetch_and(static_cast<std::uint8_t>(~kSpanMaskForensics),
-                          std::memory_order_relaxed);
+    g_span_mask.fetch_and(static_cast<std::uint8_t>(~kSpanMaskStack), std::memory_order_relaxed);
   }
+}
+
+bool span_stacks_wanted_by(StackUser user) {
+  return (g_stack_users.load(std::memory_order_relaxed) & user) != 0;
 }
 }  // namespace detail
 
@@ -57,97 +68,10 @@ thread_local std::uint64_t t_current_trace_id = 0;
 
 }  // namespace
 
-// ---- Ring buffers -----------------------------------------------------------
-
-/// One thread's fixed-capacity event ring. The mutex is per-ring and only
-/// ever contended by dump/clear (the owning thread is the sole writer), so
-/// record() is effectively an uncontended lock plus a struct copy. Rings of
-/// exited threads return to a freelist and are re-issued to new threads —
-/// thread-per-connection servers churn threads, and tracing must not grow
-/// memory per connection. A reused ring keeps its chrome tid, so one tid
-/// row can show several (non-overlapping-in-time) OS threads.
-struct Tracer::ThreadRing {
-  explicit ThreadRing(int tid_) : tid(tid_) { events.resize(Tracer::kRingCapacity); }
-
-  int tid;
-  std::mutex mu;
-  std::vector<SpanEvent> events;
-  std::size_t size = 0;   ///< valid events (<= capacity)
-  std::size_t head = 0;   ///< next write slot
-  std::uint64_t overwritten = 0;
-
-  void record(const SpanEvent& event) {
-    std::lock_guard<std::mutex> lock(mu);
-    events[head] = event;
-    head = (head + 1) % events.size();
-    if (size < events.size()) {
-      size += 1;
-    } else {
-      overwritten += 1;
-    }
-  }
-};
-
-namespace {
-
-/// Thread-local handle: claims a ring on first use, returns it to the
-/// tracer's freelist when the thread exits.
-struct ThreadRingHandleImpl {
-  Tracer* tracer = nullptr;
-  std::shared_ptr<Tracer::ThreadRing> ring;
-  ~ThreadRingHandleImpl();
-};
-
-}  // namespace
-
-struct ThreadRingHandle {
-  static std::shared_ptr<Tracer::ThreadRing> claim(Tracer& tracer) {
-    std::lock_guard<std::mutex> lock(tracer.rings_mu_);
-    if (!tracer.free_rings_.empty()) {
-      auto ring = tracer.free_rings_.back();
-      tracer.free_rings_.pop_back();
-      return ring;
-    }
-    auto ring = std::make_shared<Tracer::ThreadRing>(static_cast<int>(tracer.rings_.size()) + 1);
-    tracer.rings_.push_back(ring);
-    return ring;
-  }
-
-  static void release(Tracer& tracer, std::shared_ptr<Tracer::ThreadRing> ring) {
-    std::lock_guard<std::mutex> lock(tracer.rings_mu_);
-    tracer.free_rings_.push_back(std::move(ring));
-  }
-};
-
-namespace {
-
-ThreadRingHandleImpl::~ThreadRingHandleImpl() {
-  if (tracer != nullptr && ring != nullptr) {
-    ThreadRingHandle::release(*tracer, std::move(ring));
-  }
-}
-
-}  // namespace
-
-Tracer::ThreadRing& Tracer::ring_for_this_thread() {
-  return *ring_ptr_for_this_thread();
-}
-
-std::shared_ptr<Tracer::ThreadRing> Tracer::ring_ptr_for_this_thread() {
-  thread_local ThreadRingHandleImpl handle;
-  if (handle.ring == nullptr) {
-    handle.tracer = this;
-    handle.ring = ThreadRingHandle::claim(*this);
-  }
-  return handle.ring;
-}
-
 // ---- Tracer -----------------------------------------------------------------
 
 Tracer::Tracer()
-    : sampler_(std::make_unique<Sampler>(
-          [](const Sampler::Ring& ring, const SpanEvent& event) { ring->record(event); })),
-      epoch_(std::chrono::steady_clock::now()) {
+    : sampler_(std::make_unique<Sampler>()), epoch_(std::chrono::steady_clock::now()) {
   if (const char* path = std::getenv("PAINTPLACE_TRACE"); path != nullptr && path[0] != '\0') {
     dump_path_ = path;
     enable();
@@ -174,7 +98,7 @@ Tracer& Tracer::instance() {
 
 void Tracer::configure(const std::string& dump_path) {
   {
-    std::lock_guard<std::mutex> lock(rings_mu_);
+    std::lock_guard<std::mutex> lock(path_mu_);
     dump_path_ = dump_path;
   }
   enable();
@@ -183,7 +107,7 @@ void Tracer::configure(const std::string& dump_path) {
 bool Tracer::dump_configured() {
   std::string path;
   {
-    std::lock_guard<std::mutex> lock(rings_mu_);
+    std::lock_guard<std::mutex> lock(path_mu_);
     path = dump_path_;
   }
   if (path.empty()) return false;
@@ -191,33 +115,43 @@ bool Tracer::dump_configured() {
 }
 
 void Tracer::record(const SpanEvent& event) {
-  const std::shared_ptr<ThreadRing> ring = ring_ptr_for_this_thread();
+  ThreadSlot* slot = this_thread_slot();
+  if (slot == nullptr) return;
   // Request-tied spans route through the tail sampler while it is active:
   // buffered provisionally, committed to this same ring (or dropped) when
   // the request finishes. Untied spans and head-sampled requests record
   // directly, so non-request instrumentation is never lost.
-  if (event.trace_id != 0 && sampler_->active() && sampler_->offer(event, ring)) {
+  if (event.trace_id != 0 && sampler_->active() && sampler_->offer(event, slot)) {
     return;
   }
-  ring->record(event);
+  record_trace(*slot, event);
 }
 
-std::string Tracer::dump_json() const {
-  std::vector<std::shared_ptr<ThreadRing>> rings;
-  {
-    std::lock_guard<std::mutex> lock(rings_mu_);
-    rings = rings_;
+namespace {
+
+/// Calls fn(slot, ring) for every slot holding a trace ring, under the
+/// ring's lock.
+template <typename Fn>
+void for_each_ring(Fn&& fn) {
+  for (std::size_t i = 0; i < thread_slot_count(); ++i) {
+    ThreadSlot& slot = *thread_slot(i);
+    std::lock_guard<std::mutex> lock(slot.trace_mu);
+    if (slot.trace != nullptr) fn(slot, *slot.trace);
   }
+}
+
+}  // namespace
+
+std::string Tracer::dump_json() const {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
   char buf[128];
-  for (const auto& ring : rings) {
-    std::lock_guard<std::mutex> lock(ring->mu);
+  for_each_ring([&](const ThreadSlot& slot, const TraceRing& ring) {
     // Oldest-first: with a full ring, `head` is also the oldest slot.
-    const std::size_t capacity = ring->events.size();
-    const std::size_t start = ring->size < capacity ? 0 : ring->head;
-    for (std::size_t i = 0; i < ring->size; ++i) {
-      const SpanEvent& ev = ring->events[(start + i) % capacity];
+    const std::size_t capacity = ring.events.size();
+    const std::size_t start = ring.size < capacity ? 0 : ring.head;
+    for (std::size_t i = 0; i < ring.size; ++i) {
+      const SpanEvent& ev = ring.events[(start + i) % capacity];
       out += first ? "\n" : ",\n";
       first = false;
       out += "{\"name\":\"";
@@ -226,7 +160,7 @@ std::string Tracer::dump_json() const {
       json_escape_into(out, ev.category);
       std::snprintf(buf, sizeof(buf),
                     "\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%llu,\"dur\":%llu,\"args\":{",
-                    ring->tid, static_cast<unsigned long long>(ev.start_us),
+                    slot.index + 1, static_cast<unsigned long long>(ev.start_us),
                     static_cast<unsigned long long>(ev.dur_us));
       out += buf;
       bool first_arg = true;
@@ -260,7 +194,7 @@ std::string Tracer::dump_json() const {
       }
       out += "}}";
     }
-  }
+  });
   out += first ? "]}\n" : "\n]}\n";
   return out;
 }
@@ -278,44 +212,22 @@ bool Tracer::dump_json(const std::string& path) const {
 }
 
 void Tracer::clear() {
-  std::vector<std::shared_ptr<ThreadRing>> rings;
-  {
-    std::lock_guard<std::mutex> lock(rings_mu_);
-    rings = rings_;
-  }
-  for (const auto& ring : rings) {
-    std::lock_guard<std::mutex> lock(ring->mu);
-    ring->size = 0;
-    ring->head = 0;
-    ring->overwritten = 0;
-  }
+  for_each_ring([](const ThreadSlot&, TraceRing& ring) {
+    ring.size = 0;
+    ring.head = 0;
+    ring.overwritten = 0;
+  });
 }
 
 std::uint64_t Tracer::dropped() const {
-  std::vector<std::shared_ptr<ThreadRing>> rings;
-  {
-    std::lock_guard<std::mutex> lock(rings_mu_);
-    rings = rings_;
-  }
   std::uint64_t total = 0;
-  for (const auto& ring : rings) {
-    std::lock_guard<std::mutex> lock(ring->mu);
-    total += ring->overwritten;
-  }
+  for_each_ring([&](const ThreadSlot&, const TraceRing& ring) { total += ring.overwritten; });
   return total;
 }
 
 std::size_t Tracer::recorded() const {
-  std::vector<std::shared_ptr<ThreadRing>> rings;
-  {
-    std::lock_guard<std::mutex> lock(rings_mu_);
-    rings = rings_;
-  }
   std::size_t total = 0;
-  for (const auto& ring : rings) {
-    std::lock_guard<std::mutex> lock(ring->mu);
-    total += ring->size;
-  }
+  for_each_ring([&](const ThreadSlot&, const TraceRing& ring) { total += ring.size; });
   return total;
 }
 
@@ -339,23 +251,23 @@ ScopedTraceId::~ScopedTraceId() { t_current_trace_id = prev_; }
 // ---- Span -------------------------------------------------------------------
 
 void Span::start(const char* name, const char* category, std::uint8_t mask) {
-  // The name is copied into the inline buffer for *either* mode: the
-  // profiler's live stack points at event_.name, which must outlive the
-  // caller's (possibly temporary) string.
-  copy_str(event_.name, sizeof(event_.name), name);
+  if ((mask & detail::kSpanMaskStack) != 0) {
+    if (ThreadSlot* slot = this_thread_slot()) {
+      std::lock_guard<std::mutex> lock(slot->stack_mu);
+      const std::uint32_t depth = slot->depth.load(std::memory_order_relaxed);
+      if (depth < ThreadSlot::kMaxSpanDepth) {
+        sanitize_into(slot->names[depth], ThreadSlot::kSpanNameLen, name);
+      }
+      slot->depth.store(depth + 1, std::memory_order_release);
+      stacked_ = slot;
+    }
+  }
   if ((mask & detail::kSpanMaskTrace) != 0) {
     active_ = true;
+    copy_str(event_.name, sizeof(event_.name), name);
     copy_str(event_.category, sizeof(event_.category), category);
     event_.trace_id = t_current_trace_id;
     start_us_ = Tracer::instance().now_us();
-  }
-  if ((mask & detail::kSpanMaskProfile) != 0) {
-    profiled_ = true;
-    Profiler::instance().push(event_.name);
-  }
-  if ((mask & detail::kSpanMaskForensics) != 0) {
-    forensic_ = true;
-    FlightRecorder::push_span(event_.name);
   }
 }
 
@@ -372,42 +284,40 @@ Span::Span(const std::string& name, const char* category) {
 }
 
 Span::~Span() {
-  if (forensic_) FlightRecorder::pop_span();
-  if (profiled_) Profiler::instance().pop();
+  if (stacked_ != nullptr) {
+    std::lock_guard<std::mutex> lock(stacked_->stack_mu);
+    const std::uint32_t depth = stacked_->depth.load(std::memory_order_relaxed);
+    if (depth > 0) stacked_->depth.store(depth - 1, std::memory_order_release);
+  }
   if (!active_) return;
   Tracer& tracer = Tracer::instance();
   event_.start_us = start_us_;
   event_.dur_us = tracer.now_us() - start_us_;
   if (flops_ > 0.0) {
     const double seconds = static_cast<double>(event_.dur_us) * 1e-6;
-    arg("gflop_per_s", seconds > 0.0 ? flops_ / seconds * 1e-9
-                                     : 0.0);
+    arg("gflop_per_s", seconds > 0.0 ? flops_ / seconds * 1e-9 : 0.0);
   }
   tracer.record(event_);
 }
 
-void Span::arg(const char* key, std::int64_t value) {
-  if (!active_ || event_.num_args >= SpanEvent::kMaxArgs) return;
+TraceArg* Span::next_arg(const char* key, TraceArg::Kind kind) {
+  if (!active_ || event_.num_args >= SpanEvent::kMaxArgs) return nullptr;
   TraceArg& a = event_.args[event_.num_args++];
   a.key = key;
-  a.kind = TraceArg::Kind::kInt;
-  a.i = value;
+  a.kind = kind;
+  return &a;
+}
+
+void Span::arg(const char* key, std::int64_t value) {
+  if (TraceArg* a = next_arg(key, TraceArg::Kind::kInt)) a->i = value;
 }
 
 void Span::arg(const char* key, double value) {
-  if (!active_ || event_.num_args >= SpanEvent::kMaxArgs) return;
-  TraceArg& a = event_.args[event_.num_args++];
-  a.key = key;
-  a.kind = TraceArg::Kind::kDouble;
-  a.d = value;
+  if (TraceArg* a = next_arg(key, TraceArg::Kind::kDouble)) a->d = value;
 }
 
 void Span::arg(const char* key, const char* value) {
-  if (!active_ || event_.num_args >= SpanEvent::kMaxArgs) return;
-  TraceArg& a = event_.args[event_.num_args++];
-  a.key = key;
-  a.kind = TraceArg::Kind::kString;
-  copy_str(a.s, sizeof(a.s), value);
+  if (TraceArg* a = next_arg(key, TraceArg::Kind::kString)) copy_str(a->s, sizeof(a->s), value);
 }
 
 }  // namespace paintplace::obs

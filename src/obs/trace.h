@@ -8,7 +8,8 @@
 // disabled-path cost stays under its overhead budget).
 //
 // When enabled, completed spans land in fixed-size per-thread ring buffers
-// (no allocation, no shared lock on the record path beyond the ring's own
+// held by the thread's obs slot (thread_slot.h; allocated on the thread's
+// first traced span, no shared lock on the record path beyond the ring's own
 // uncontended mutex; the oldest events are overwritten on wraparound).
 // Tracer::dump_json() walks every ring and writes a Chrome Trace Event
 // Format file — load it at chrome://tracing or https://ui.perfetto.dev.
@@ -28,25 +29,26 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 namespace paintplace::obs {
 
 namespace detail {
 /// The one word every Span construction reads: bit 0 = tracing enabled
-/// (Tracer), bit 1 = profiling enabled (Profiler), bit 2 = flight-recorder
-/// span stacks (FlightRecorder — crash forensics). Folding every feature
-/// into a single relaxed atomic load keeps the disabled-path cost of a Span
-/// identical to the tracing-only design — bench_serve guards it.
+/// (Tracer), bit 1 = live span stacks (wanted by the Profiler and the
+/// FlightRecorder). Folding every feature into a single relaxed atomic load
+/// keeps the disabled-path cost of a Span at one load — bench_serve guards it.
 inline constexpr std::uint8_t kSpanMaskTrace = 0x1;
-inline constexpr std::uint8_t kSpanMaskProfile = 0x2;
-inline constexpr std::uint8_t kSpanMaskForensics = 0x4;
+inline constexpr std::uint8_t kSpanMaskStack = 0x2;
 extern std::atomic<std::uint8_t> g_span_mask;
-/// Turns the forensics bit on (FlightRecorder::enable / install call this).
-void set_forensics_spans(bool on);
+
+/// Users of the live span stacks; the stack bit is set while any of them is.
+enum StackUser : std::uint8_t { kStackProfiler = 0x1, kStackForensics = 0x2 };
+void want_span_stacks(StackUser user, bool on);
+bool span_stacks_wanted_by(StackUser user);
 }  // namespace detail
 
 class Sampler;
+struct ThreadSlot;
 
 /// One key/value annotation on a span. Keys are static strings (the call
 /// sites own them); string values are truncated to fit the inline buffer.
@@ -122,31 +124,21 @@ class Tracer {
   /// Events currently held across all rings.
   std::size_t recorded() const;
 
-  struct ThreadRing;  ///< opaque per-thread ring (defined in trace.cpp)
-
- private:
-  Tracer();
-  ~Tracer();  // defined in trace.cpp (Sampler is incomplete here)
-  ThreadRing& ring_for_this_thread();
-  std::shared_ptr<ThreadRing> ring_ptr_for_this_thread();
-
-  std::unique_ptr<Sampler> sampler_;
-  std::string dump_path_;
-  std::chrono::steady_clock::time_point epoch_;
-
-  mutable std::mutex rings_mu_;
-  std::vector<std::shared_ptr<ThreadRing>> rings_;
-  std::vector<std::shared_ptr<ThreadRing>> free_rings_;  ///< from exited threads
-
-  friend struct ThreadRingHandle;
-
- public:
   std::uint64_t now_us() const {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - epoch_)
             .count());
   }
+
+ private:
+  Tracer();
+  ~Tracer();  // defined in trace.cpp (Sampler is incomplete here)
+
+  std::unique_ptr<Sampler> sampler_;
+  mutable std::mutex path_mu_;
+  std::string dump_path_;
+  std::chrono::steady_clock::time_point epoch_;
 };
 
 /// Thread-local request correlation. The net reader assigns an id per
@@ -176,11 +168,11 @@ class ScopedTraceId {
 };
 
 /// RAII span: times from construction to destruction and records into the
-/// tracer's ring. When both tracing and profiling are disabled at
-/// construction the span is inert — one relaxed atomic load, then no clock
-/// reads, no string copies, no recording. With the profiler on, the span
-/// additionally sits on its thread's live-span stack for the lifetime of
-/// the scope (see profiler.h).
+/// tracer's ring. When tracing and span stacks are both off at construction
+/// the span is inert — one relaxed atomic load, then no clock reads, no
+/// string copies, no recording. With stacks on (profiler or flight
+/// recorder), the span's name also sits on its thread's live-span stack for
+/// the lifetime of the scope (see thread_slot.h).
 class Span {
  public:
   explicit Span(const char* name, const char* category = "app");
@@ -204,10 +196,11 @@ class Span {
 
  private:
   void start(const char* name, const char* category, std::uint8_t mask);
+  /// The next free arg of a recording span, nullptr when inactive or full.
+  TraceArg* next_arg(const char* key, TraceArg::Kind kind);
 
-  bool active_ = false;    ///< tracing: record into the ring on destruction
-  bool profiled_ = false;  ///< profiling: pushed onto the live-span stack
-  bool forensic_ = false;  ///< forensics: pushed onto the flight-recorder stack
+  bool active_ = false;  ///< tracing: record into the ring on destruction
+  ThreadSlot* stacked_ = nullptr;  ///< the slot whose span stack this pushed onto
   double flops_ = 0.0;
   std::uint64_t start_us_ = 0;
   SpanEvent event_;

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
 #include "obs/metrics_registry.h"
 #include "obs/sampler.h"
+#include "obs/ticker.h"
 #include "obs/trace.h"
 
 namespace paintplace::obs {
@@ -41,32 +43,19 @@ void Watchdog::set_depths_fn(DepthsFn fn) {
 }
 
 void Watchdog::start() {
-  if (!enabled_.load(std::memory_order_relaxed)) return;
-  if (running_.exchange(true)) return;
-  thread_ = std::thread([this] { run(); });
+  if (!enabled_.load(std::memory_order_relaxed) || task_ != 0) return;
+  double period_ms = 0.0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    period_ms = std::clamp(config_.stall_ms / 4.0, 10.0, 200.0);
+  }
+  task_ = Ticker::instance().add(
+      std::chrono::microseconds(static_cast<std::int64_t>(period_ms * 1e3)),
+      [this] { tick(now_s()); });
 }
 
 void Watchdog::stop() {
-  if (!running_.exchange(false)) return;
-  {
-    std::lock_guard<std::mutex> lock(stop_mu_);
-  }
-  stop_cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-void Watchdog::run() {
-  while (running_.load(std::memory_order_relaxed)) {
-    tick(now_s());
-    std::unique_lock<std::mutex> lock(stop_mu_);
-    const double period = [this] {
-      std::lock_guard<std::mutex> cfg_lock(mu_);
-      return config_.tick_period_s;
-    }();
-    stop_cv_.wait_for(lock, std::chrono::duration<double>(period), [this] {
-      return !running_.load(std::memory_order_relaxed);
-    });
-  }
+  if (task_ != 0) Ticker::instance().remove(std::exchange(task_, 0));
 }
 
 void Watchdog::track(std::uint64_t trace_id, int replica) {

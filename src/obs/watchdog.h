@@ -3,8 +3,9 @@
 // The SLO monitor (slo.h) says *that* p99 is breached; the watchdog says
 // *which* request is responsible. The net front-end registers every
 // admitted request (track) and deregisters it at completion (complete); a
-// monitor thread wakes every tick and checks the oldest in-flight request's
-// admission-to-completion age against the stall threshold. Past it, the
+// task on the obs ticker (ticker.h) checks every in-flight request's
+// admission-to-completion age against the stall threshold, at a quarter of
+// the threshold (clamped to 10..200 ms). Past it, the
 // watchdog files a structured stall report exactly once per request:
 //
 //   * an obs::Log line (subsystem "watchdog", event "stall") naming the
@@ -24,16 +25,14 @@
 // track/complete cost one mutex-protected map op per request — noise next
 // to a forecast — and collapse to a relaxed load + branch when no stall
 // threshold is configured. tick(now_s) is public and deterministic for
-// tests (SloMonitor style); start()/stop() run it on a background thread.
+// tests (SloMonitor style); start()/stop() run it on the ticker.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -47,8 +46,6 @@ struct WatchdogConfig {
   /// A request in flight longer than this is reported as stalled.
   /// 0 disables stall detection (track/complete become cheap no-ops).
   double stall_ms = 0.0;
-  /// Monitor thread wake period.
-  double tick_period_s = 0.200;
 };
 
 class Watchdog {
@@ -66,8 +63,9 @@ class Watchdog {
   void configure(const WatchdogConfig& config);
   void set_depths_fn(DepthsFn fn);
 
-  /// Starts the monitor thread (no-op when stall_ms is 0). stop() joins it;
-  /// the destructor stops implicitly.
+  /// Registers tick() with the obs ticker (no-op when stall_ms is 0).
+  /// stop() unregisters it; the destructor stops implicitly. Neither is
+  /// thread-safe against the other.
   void start();
   void stop();
 
@@ -94,10 +92,8 @@ class Watchdog {
   double now_s() const;
 
  private:
-  void run();
-
   std::atomic<bool> enabled_{false};  ///< stall_ms > 0
-  std::atomic<bool> running_{false};
+  std::uint64_t task_ = 0;            ///< ticker task id, 0 = not started
 
   struct InFlight {
     double admitted_s = 0.0;
@@ -114,9 +110,6 @@ class Watchdog {
   Gauge* stalls_gauge_ = nullptr;
   Gauge* oldest_gauge_ = nullptr;
 
-  std::thread thread_;
-  std::mutex stop_mu_;
-  std::condition_variable stop_cv_;
   std::chrono::steady_clock::time_point epoch_;
 };
 

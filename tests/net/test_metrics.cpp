@@ -1,25 +1,24 @@
-// net::Metrics tests: histogram recording and quantiles, counter rollups,
-// and the text exposition format the metrics endpoint serves.
+// net::Metrics tests: latency-histogram recording and quantiles, counter
+// rollups, and the registry exposition the metrics endpoint serves.
 #include "net/metrics.h"
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <thread>
 #include <vector>
 
 namespace paintplace::net {
 namespace {
 
-TEST(LatencyHistogram, EmptyHistogramIsZero) {
-  LatencyHistogram h;
+TEST(Histogram, EmptyHistogramIsZero) {
+  obs::Histogram h;
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.quantile(0.5), 0.0);
-  EXPECT_EQ(h.total_seconds(), 0.0);
+  EXPECT_EQ(h.sum(), 0.0);
 }
 
-TEST(LatencyHistogram, QuantilesBracketRecordedLatencies) {
-  LatencyHistogram h;
+TEST(Histogram, QuantilesBracketRecordedLatencies) {
+  obs::Histogram h;
   // 99 fast samples around 1ms, one slow outlier around 1s.
   for (int i = 0; i < 99; ++i) h.record(1e-3);
   h.record(1.0);
@@ -36,8 +35,8 @@ TEST(LatencyHistogram, QuantilesBracketRecordedLatencies) {
   EXPECT_GE(p100, 0.5);  // the outlier's bucket
 }
 
-TEST(LatencyHistogram, QuantileIsMonotoneInQ) {
-  LatencyHistogram h;
+TEST(Histogram, QuantileIsMonotoneInQ) {
+  obs::Histogram h;
   for (int i = 1; i <= 64; ++i) h.record(static_cast<double>(i) * 1e-4);
   double prev = 0.0;
   for (double q : {0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0}) {
@@ -47,8 +46,8 @@ TEST(LatencyHistogram, QuantileIsMonotoneInQ) {
   }
 }
 
-TEST(LatencyHistogram, ConcurrentRecordsAllLand) {
-  LatencyHistogram h;
+TEST(Histogram, ConcurrentRecordsAllLand) {
+  obs::Histogram h;
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&h] {
@@ -59,8 +58,8 @@ TEST(LatencyHistogram, ConcurrentRecordsAllLand) {
   EXPECT_EQ(h.count(), 4000u);
 }
 
-TEST(LatencyHistogram, ResetClears) {
-  LatencyHistogram h;
+TEST(Histogram, ResetClears) {
+  obs::Histogram h;
   h.record(0.5);
   h.reset();
   EXPECT_EQ(h.count(), 0u);
@@ -75,7 +74,8 @@ TEST(Metrics, ShedTotalSumsBothReasons) {
 }
 
 TEST(Metrics, RenderTextExposesEveryField) {
-  Metrics m;
+  obs::MetricsRegistry registry;
+  Metrics m(registry);
   m.connections_opened.store(5);
   m.requests_accepted.store(100);
   m.requests_completed.store(90);
@@ -83,47 +83,29 @@ TEST(Metrics, RenderTextExposesEveryField) {
   m.protocol_errors.store(1);
   m.latency.record(2e-3);
 
-  PoolGauges pool;
-  pool.replicas = 2;
+  PoolStats pool;
   pool.queue_depth = 3;
   pool.cache_hits = 40;
   pool.cache_requests = 100;
   pool.model_version = 2;
+  m.set_pool(2, pool);
 
-  const std::string text = render_text(m, pool);
-  // One "name value" pair per line, no blank metric names.
-  std::istringstream lines(text);
-  std::string line;
-  int parsed = 0;
-  while (std::getline(lines, line)) {
-    const std::size_t space = line.find(' ');
-    ASSERT_NE(space, std::string::npos) << "unparseable line: " << line;
-    ASSERT_GT(space, 0u);
-    ++parsed;
-  }
-  EXPECT_GE(parsed, 10);
-
+  const std::string text = registry.render_prometheus();
   EXPECT_NE(text.find("net_connections_opened 5\n"), std::string::npos);
   EXPECT_NE(text.find("net_requests_accepted 100\n"), std::string::npos);
   EXPECT_NE(text.find("net_requests_completed 90\n"), std::string::npos);
   EXPECT_NE(text.find("net_shed_queue_full 7\n"), std::string::npos);
   EXPECT_NE(text.find("net_protocol_errors 1\n"), std::string::npos);
+  EXPECT_NE(text.find("net_request_latency_seconds_count 1\n"), std::string::npos);
+  EXPECT_NE(text.find("pool_replicas 2\n"), std::string::npos);
   EXPECT_NE(text.find("pool_queue_depth 3\n"), std::string::npos);
+  EXPECT_NE(text.find("pool_cache_hits 40\n"), std::string::npos);
+  EXPECT_NE(text.find("pool_cache_requests 100\n"), std::string::npos);
   EXPECT_NE(text.find("pool_model_version 2\n"), std::string::npos);
-  EXPECT_NE(text.find("net_latency_p50_ms"), std::string::npos);
-  EXPECT_NE(text.find("net_latency_p99_ms"), std::string::npos);
-  EXPECT_NE(text.find("pool_cache_hit_rate"), std::string::npos);
-}
-
-TEST(Metrics, RenderLogLineIsOneLine) {
-  Metrics m;
-  m.requests_completed.store(12);
-  PoolGauges pool;
-  pool.model_version = 1;
-  const std::string line = render_log_line(m, pool);
-  EXPECT_EQ(line.find('\n'), std::string::npos);
-  EXPECT_NE(line.find("[net]"), std::string::npos);
-  EXPECT_NE(line.find("done=12"), std::string::npos);
+  // Every instrument is typed.
+  for (const std::string& name : registry.names()) {
+    EXPECT_NE(text.find("# TYPE " + name + " "), std::string::npos) << name;
+  }
 }
 
 }  // namespace

@@ -12,10 +12,13 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <map>
+#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "net/client.h"
+#include "obs/ticker.h"
 #include "tests/serve/serve_fixtures.h"
 
 namespace paintplace::net {
@@ -137,9 +140,37 @@ TEST(NetServer, MetricsEndpointReflectsTraffic) {
   EXPECT_NE(text.find("net_requests_completed 2\n"), std::string::npos);
   EXPECT_NE(text.find("net_requests_accepted 2\n"), std::string::npos);
   EXPECT_NE(text.find("pool_model_version 1\n"), std::string::npos);
-  EXPECT_NE(text.find("pool_cache_hit_rate 0.5000\n"), std::string::npos);
-  EXPECT_NE(text.find("net_latency_p99_ms"), std::string::npos);
+  EXPECT_NE(text.find("pool_cache_hits 1\n"), std::string::npos);
+  EXPECT_NE(text.find("pool_cache_requests 2\n"), std::string::npos);
+  EXPECT_NE(text.find("net_request_latency_seconds_count 2\n"), std::string::npos);
   EXPECT_EQ(server.metrics().metrics_requests.load(), 1u);
+}
+
+TEST(NetServer, ScrapeHasOneTypeLinePerMetric) {
+  NetServer server(quick_config(1), tiny_factory());
+  Client client("127.0.0.1", server.port());
+  (void)client.forecast(serve::testfix::random_input(7));
+  const std::string text = client.metrics_text();
+
+  std::map<std::string, int> types;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("# TYPE ", 0) != 0) continue;
+    types[line.substr(7, line.find(' ', 7) - 7)] += 1;
+  }
+  ASSERT_GT(types.count("net_requests_completed"), 0u) << text;
+  ASSERT_GT(types.count("pool_queue_depth"), 0u) << text;
+  for (const auto& [name, count] : types) EXPECT_EQ(count, 1) << name;
+}
+
+TEST(NetServer, ShutdownWithoutConnectionsIsPromptAndLeavesNoObsThread) {
+  NetServer server(quick_config(1), tiny_factory());
+  EXPECT_TRUE(obs::Ticker::instance().running());  // SLO windows tick on it
+  const auto start = std::chrono::steady_clock::now();
+  server.shutdown();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 500ms);
+  EXPECT_FALSE(obs::Ticker::instance().running());
 }
 
 TEST(NetServer, SwapOverTheWireIsDeniedByDefault) {

@@ -2,13 +2,15 @@
 // kEventsPerThread events, the programmatic dump carries the post-mortem
 // schema (build identity, per-thread span stacks, events, metrics snapshot)
 // and parses back by substring, record-time sanitization keeps the dump
-// JSON-clean, and the forensic span hooks mirror live obs::Span nesting.
+// JSON-clean, live obs::Span nesting shows as the thread's span stack, and
+// the slots of exited threads are reused.
 #include "obs/flight_recorder.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <thread>
 
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
@@ -68,14 +70,15 @@ TEST_F(FlightRecorderTest, RingKeepsOnlyTheNewestEventsAfterWraparound) {
 TEST_F(FlightRecorderTest, DumpCarriesSchemaBuildSpansEventsAndMetrics) {
   FlightRecorder::record(EventKind::kRequest, 42, "admitted", /*a=*/1, /*b=*/3);
   FlightRecorder::record(EventKind::kStall, 42, "stall", /*a=*/250, /*b=*/1);
-  FlightRecorder::push_span("net.request");
-  FlightRecorder::push_span("serve.run_batch");
   MetricsRegistry::global().counter("obs_fr_test_marker", "flight recorder test").fetch_add(1);
   FlightRecorder::instance().refresh_metrics_snapshot();
 
-  const std::string dump = dump_to_temp("fr_schema.json");
-  FlightRecorder::pop_span();
-  FlightRecorder::pop_span();
+  std::string dump;
+  {
+    Span request("net.request", "test");
+    Span batch("serve.run_batch", "test");
+    dump = dump_to_temp("fr_schema.json");
+  }
 
   EXPECT_EQ(dump.rfind("{\"schema\":\"paintplace-postmortem-v1\",\"signal\":11", 0), 0u);
   EXPECT_NE(dump.find("\"pid\":"), std::string::npos);
@@ -107,7 +110,7 @@ TEST_F(FlightRecorderTest, MessagesAreSanitizedAtRecordTime) {
 }
 
 TEST_F(FlightRecorderTest, LiveSpansMaintainTheForensicStack) {
-  // enable() flips kSpanMaskForensics, so a plain obs::Span pushes its name.
+  // enable() turns span stacks on, so a plain obs::Span pushes its name.
   std::string dump;
   {
     Span outer("fr.test.outer", "test");
@@ -119,6 +122,26 @@ TEST_F(FlightRecorderTest, LiveSpansMaintainTheForensicStack) {
   // Both spans popped on scope exit: a fresh dump shows an empty stack.
   const std::string after = dump_to_temp("fr_spans_after.json");
   EXPECT_NE(after.find("\"span_stack\":[]"), std::string::npos);
+}
+
+TEST_F(FlightRecorderTest, ExitedThreadsSlotsAreReused) {
+  // More short-lived threads than the slot table holds, one at a time: each
+  // reuses the slot its predecessor returned, so the last one still records.
+  constexpr int kThreads = 300;
+  std::string dump;
+  for (int i = 0; i < kThreads; ++i) {
+    std::thread([&dump, i] {
+      const std::string msg = "thread-" + std::to_string(i);
+      FlightRecorder::record(EventKind::kMark, 0, msg.c_str());
+      if (i == kThreads - 1) {
+        Span span("fr.test.last_thread", "test");
+        dump = dump_to_temp("fr_reuse.json");
+      }
+    }).join();
+  }
+  EXPECT_NE(dump.find("\"msg\":\"thread-" + std::to_string(kThreads - 1) + "\""),
+            std::string::npos);
+  EXPECT_NE(dump.find("\"span_stack\":[\"fr.test.last_thread\"]"), std::string::npos);
 }
 
 }  // namespace

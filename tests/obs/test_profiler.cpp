@@ -1,7 +1,7 @@
 // Span-stack profiler tests: deterministic folded-stack aggregation driven
 // by sample_once(), multi-threaded stack attribution, collapsed-stack export
-// format, and the disabled-by-default contract (spans never touch the
-// profiler while the profile bit is clear).
+// format, and the disabled-by-default contract (spans never reach the
+// aggregate while the profiler is off).
 #include "obs/profiler.h"
 
 #include <gtest/gtest.h>
@@ -18,17 +18,12 @@
 namespace paintplace::obs {
 namespace {
 
-/// Sets the profile bit without start()'s background sampler thread, so
-/// tests control exactly how many samples are taken via sample_once().
+/// Turns profiling on without start()'s ticker task, so tests control
+/// exactly how many samples are taken via sample_once().
 class ProfileBitScope {
  public:
-  ProfileBitScope() {
-    detail::g_span_mask.fetch_or(detail::kSpanMaskProfile, std::memory_order_relaxed);
-  }
-  ~ProfileBitScope() {
-    detail::g_span_mask.fetch_and(
-        static_cast<std::uint8_t>(~detail::kSpanMaskProfile), std::memory_order_relaxed);
-  }
+  ProfileBitScope() { detail::want_span_stacks(detail::kStackProfiler, true); }
+  ~ProfileBitScope() { detail::want_span_stacks(detail::kStackProfiler, false); }
 };
 
 std::uint64_t count_of(const Profiler& prof, const std::string& stack) {

@@ -47,8 +47,8 @@ class WatchdogTest : public ::testing::Test {
     cfg.rate_limit_per_key = 0;
     Log::instance().configure(cfg);
     Log::instance().reset_rate_limits();
-    // The sink runs on whatever thread emits (watchdog monitor, net log
-    // loop, this test) — the capture buffer needs its own lock.
+    // The sink runs on whatever thread emits (the obs ticker, this test) —
+    // the capture buffer needs its own lock.
     Log::instance().set_sink([this](const std::string& line) {
       std::lock_guard<std::mutex> lock(lines_mu_);
       lines_.push_back(line);
@@ -167,14 +167,13 @@ TEST_F(WatchdogTest, WedgedReplicaStallReachesTheHealthFrame) {
   cfg.pool.replicas = 1;
   cfg.pool.serve.max_batch = 64;  // a lone request never fills the batch …
   cfg.pool.serve.max_wait = std::chrono::milliseconds(300);  // … and waits 300ms
-  cfg.watchdog.stall_ms = 50.0;
-  cfg.watchdog.tick_period_s = 0.020;
+  cfg.watchdog.stall_ms = 50.0;  // ticks every 12.5ms
   net::NetServer server(cfg, [] { return serve::testfix::tiny_model(); });
   ASSERT_GT(server.port(), 0);
 
   net::Client client("127.0.0.1", server.port());
   // Blocks ~300ms in the coalescing queue: wedged long past stall-ms, while
-  // the watchdog thread ticks every 20ms.
+  // the watchdog ticks every 12.5ms.
   EXPECT_EQ(client.forecast(serve::testfix::random_input(1)).status, net::Status::kOk);
 
   EXPECT_GE(server.watchdog().stalls(), 1u);

@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -179,6 +180,36 @@ bool parse_args(int argc, char** argv, Options& opt) {
   return true;
 }
 
+/// Bucket counts of the obs::Histogram `name` from a Prometheus exposition:
+/// the inverse of MetricsRegistry::render_prometheus, which lists only the
+/// non-empty buckets, cumulatively, each labelled by its upper bound.
+std::array<std::uint64_t, obs::Histogram::kBuckets> scraped_buckets(const std::string& text,
+                                                                    const std::string& name) {
+  std::array<std::uint64_t, obs::Histogram::kBuckets> buckets{};
+  const std::string prefix = name + "_bucket{le=\"";
+  std::uint64_t below = 0;
+  std::size_t at = 0;
+  while ((at = text.find(prefix, at)) != std::string::npos) {
+    if (at != 0 && text[at - 1] != '\n') {  // an "# EXEMPLAR" comment
+      at += prefix.size();
+      continue;
+    }
+    const char* le = text.c_str() + at + prefix.size();
+    const std::uint64_t cumulative = std::strtoull(std::strchr(le, ' '), nullptr, 10);
+    int b = obs::Histogram::kBuckets - 1;  // +Inf
+    if (std::strncmp(le, "+Inf", 4) != 0) {
+      // Upper bound of bucket b is 2^(b+1) millionths.
+      b = std::clamp(static_cast<int>(std::lround(std::log2(std::atof(le) * 1e6))) - 1, 0,
+                     obs::Histogram::kBuckets - 1);
+    }
+    // max(): a scrape racing record() can show +Inf a sample short.
+    buckets[static_cast<std::size_t>(b)] += std::max(cumulative, below) - below;
+    below = std::max(cumulative, below);
+    at += prefix.size();
+  }
+  return buckets;
+}
+
 /// The shared placement pool: every worker regenerates the same tensors from
 /// (seed, index), so distinct processes submit overlapping content — cache
 /// hits and stable shard assignment without any IPC.
@@ -279,13 +310,8 @@ Tally run_worker(const Options& opt, int worker_index) {
   // start — responses above it came from a hot-swapped model.
   std::uint64_t initial_version = 0;
   try {
-    net::Client probe(opt.host, static_cast<std::uint16_t>(opt.port));
-    const std::string text = probe.metrics_text();
-    const std::size_t at = text.find("pool_model_version ");
-    if (at != std::string::npos) {
-      initial_version = std::strtoull(text.c_str() + at + std::strlen("pool_model_version "),
-                                      nullptr, 10);
-    }
+    initial_version =
+        net::Client(opt.host, static_cast<std::uint16_t>(opt.port)).health().model_version;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "[worker %d] cannot reach server: %s\n", worker_index, e.what());
     Tally t;
@@ -467,12 +493,10 @@ int main(int argc, char** argv) {
   if (opt.check_p99_factor > 0.0 && total.latency_count > 0) {
     try {
       net::Client probe(opt.host, static_cast<std::uint16_t>(opt.port));
-      const std::string text = probe.metrics_text();
-      double server_p99_ms = 0.0;
-      const std::size_t at = text.find("net_latency_p99_ms ");
-      if (at != std::string::npos) {
-        server_p99_ms = std::atof(text.c_str() + at + std::strlen("net_latency_p99_ms "));
-      }
+      const double server_p99_ms =
+          obs::Histogram::quantile_of(
+              scraped_buckets(probe.metrics_text(), "net_request_latency_seconds"), 0.99) *
+          1e3;
       if (server_p99_ms <= 0.0) {
         std::fprintf(stderr, "p99 check: server reported no latency samples\n");
         ok = false;

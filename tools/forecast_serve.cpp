@@ -29,7 +29,6 @@
 #include "net/server.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
-#include "obs/metrics_registry.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 
@@ -64,7 +63,7 @@ struct Options {
   std::string metrics_dump;      ///< write final metrics exposition here on drain
   std::string postmortem;        ///< dir for crash-forensics dumps (enables recorder)
   double stall_ms = 0.0;         ///< watchdog stall threshold; 0 disables
-  std::string log_format;        ///< kv | json | legacy ("" = kv / env default)
+  std::string log_format;        ///< kv | json ("" = kv / env default)
   double slo_p99_ms = 250.0;     ///< windowed p99 objective
   double slo_error_rate = 0.01;  ///< windowed (failed+shed)/total objective
   double slo_window_s = 60.0;    ///< SLO rolling window
@@ -104,8 +103,7 @@ void usage() {
       "                         DIR/postmortem.<pid>.json on SIGSEGV/SIGABRT/SIGBUS\n"
       "  --stall-ms X           watchdog: report any request in flight longer than X ms\n"
       "                         and force-retain its trace (default 0 = disabled)\n"
-      "  --log-format F         kv (default) | json (JSON lines) | legacy (pre-9 text\n"
-      "                         for the periodic stats line)\n"
+      "  --log-format F         kv (default) | json (JSON lines)\n"
       "  --slo-p99-ms X         SLO: windowed p99 latency objective (default 250)\n"
       "  --slo-error-rate X     SLO: windowed error-rate objective (default 0.01)\n"
       "  --slo-window-s X       SLO rolling window in seconds (default 60)\n"
@@ -209,8 +207,8 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (!std::strcmp(a, "--log-format")) {
       if (!(v = need_value(i))) return false;
       opt.log_format = v;
-      if (opt.log_format != "kv" && opt.log_format != "json" && opt.log_format != "legacy") {
-        std::fprintf(stderr, "--log-format must be kv, json, or legacy (got %s)\n", v);
+      if (opt.log_format != "kv" && opt.log_format != "json") {
+        std::fprintf(stderr, "--log-format must be kv or json (got %s)\n", v);
         return false;
       }
     } else if (!std::strcmp(a, "--seed")) {
@@ -238,10 +236,8 @@ int main(int argc, char** argv) {
   if (!parse_args(argc, argv, opt)) return 2;
 
   namespace obs = paintplace::obs;
-  // --log-format picks the structured-log rendering; "legacy" keeps the
-  // structured default (kv) but routes the periodic stats line through the
-  // pre-forensics printf renderer.
-  if (opt.log_format == "json" || opt.log_format == "kv") {
+  // --log-format picks the structured-log rendering.
+  if (!opt.log_format.empty()) {
     obs::LogConfig lcfg = obs::Log::instance().config();
     lcfg.format =
         opt.log_format == "json" ? obs::LogFormat::kJson : obs::LogFormat::kKeyValue;
@@ -311,7 +307,6 @@ int main(int argc, char** argv) {
   cfg.slo.latency_objective_s = opt.slo_p99_ms * 1e-3;
   cfg.slo.error_rate_objective = opt.slo_error_rate;
   cfg.watchdog.stall_ms = opt.stall_ms;
-  cfg.legacy_log = opt.log_format == "legacy";
   // --trace takes precedence over an inherited PAINTPLACE_TRACE; either way
   // the tracer is enabled now and the JSON is written on drain.
   if (!opt.trace.empty()) paintplace::obs::Tracer::instance().configure(opt.trace);
@@ -339,14 +334,11 @@ int main(int argc, char** argv) {
     while (sem_wait(&g_stop_sem) != 0 && errno == EINTR) {
     }
     obs::Log::instance().info("serve_cli", "draining");
-    // Snapshot gauges before shutdown (the pool is gone afterwards), write
-    // the exposition after it so every counter includes the drained tail.
-    const net::PoolGauges gauges = server.pool_gauges();
+    // Write the exposition after shutdown so every counter includes the
+    // drained tail.
     server.shutdown();
     if (!opt.metrics_dump.empty()) {
-      std::string exposition = net::render_text(server.metrics(), gauges);
-      exposition += paintplace::obs::MetricsRegistry::global().render_prometheus(
-          [](const std::string& name) { return name.rfind("net_", 0) != 0; });
+      const std::string exposition = server.metrics_text();
       if (std::FILE* f = std::fopen(opt.metrics_dump.c_str(), "w")) {
         std::fwrite(exposition.data(), 1, exposition.size(), f);
         std::fclose(f);
